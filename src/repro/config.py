@@ -166,9 +166,9 @@ class SimulationConfig:
     #: (homogeneous read/write runs handed to the strategy's batch kernels).
     #: Batched and per-event replay produce byte-identical results; the
     #: simulator automatically falls back to the per-event loop whenever
-    #: per-event observation is required (post-request hooks, tracked
-    #: views).  ``False`` forces the per-event loop — the reference path of
-    #: the parity tests and the batching benchmark.
+    #: per-event observation is required (post-request hooks; tracked views
+    #: stay batched).  ``False`` forces the per-event loop — the reference
+    #: path of the parity tests and the batching benchmark.
     batch_replay: bool = True
     #: Run the maintenance tick through the strategy's batched column sweep
     #: (fused counter rotation + utility refresh with dirty-set tracking;

@@ -18,12 +18,13 @@ Workloads arrive in one of two shapes and replay byte-identically:
   callers, replayed by the original type-dispatched object loop.
 
 Stream replay itself is **batch-first**: each chunk is segmented into
-runs of requests bounded by the next fault and maintenance-tick
-timestamps and by edge-mutation events, and whole runs are dispatched
-through the strategy's ``execute_request_batch`` kernel (run boundaries
-are found at C speed — a timestamp bisect plus byte scans per run).
-Whenever per-event observation is required — post-request hooks (even
-ones registered mid-run by a pre-tick hook), tracked views, or
+runs of requests bounded by the next fault, maintenance-tick and
+tracked-view sample timestamps and by edge-mutation events, and whole
+runs are dispatched through the strategy's ``execute_request_batch``
+kernel (run boundaries are found at C speed — a timestamp bisect plus
+byte scans per run).  Tracked-view reads are counted with one scan per
+run.  Whenever per-event observation is required — post-request hooks
+(even ones registered mid-run by a pre-tick hook), or
 ``batch_replay=False`` in the config — the simulator replays per event;
 while a persistent store is active, write runs are replayed per event too
 (each write is mirrored into the store in order) but read runs stay
@@ -90,6 +91,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: sentinel bounds partitioned runs to 255 shards.
 UNOWNED = 0xFF
 
+#: Event-kind byte -> selector byte (1 = read), for gathering a mixed run's
+#: readers with :func:`itertools.compress`.
+_READ_SELECTOR = bytes(1 if kind == KIND_READ else 0 for kind in range(256))
+
 
 class ClusterSimulator:
     """Replays a workload (stream or request log) against one strategy."""
@@ -139,7 +144,9 @@ class ClusterSimulator:
         #: events so counting a read is a set-membership check instead of an
         #: O(tracked x following) scan of the reader's adjacency.
         self._tracked_followers: dict[int, set[int]] = {}
-        self._next_sample: float = self.tracking_period
+        #: Time of the next tracked-view sample; set by :meth:`run`, so a
+        #: ``tracking_period`` assigned after construction is honoured.
+        self._next_sample: float = math.inf
         #: Request handlers keyed on the concrete request type (object-loop
         #: hot path: one dict lookup per request instead of an isinstance
         #: chain).
@@ -307,6 +314,7 @@ class ClusterSimulator:
         self.prepare()
         self._reads_executed = 0
         self._writes_executed = 0
+        self._next_sample = self.tracking_period
         clock = SimulationClock(tick_period=self.config.tick_period)
         if isinstance(workload, EventStream):
             stream = self._stage_scenario_stream(workload)
@@ -343,12 +351,13 @@ class ClusterSimulator:
     ) -> tuple[int, float, float]:
         """Replay a stream: batched run dispatch, or per event when needed.
 
-        The batched loop requires that no per-event observer is attached:
-        post-request hooks see one request object per event and tracked
-        views count individual reads, so either forces the per-event loop
-        (as does ``batch_replay=False``).  Both loops drive the identical
-        sequence of strategy, store and hook calls, so they produce
-        byte-identical results.
+        The batched loop requires that no post-request hook is attached:
+        hooks see one request object per event, so they force the per-event
+        loop (as does ``batch_replay=False``).  Tracked views stay batched:
+        sample times cut runs and reads are counted per run.  Partitioned
+        shard replay still rejects tracked views.  Both loops drive the
+        identical sequence of strategy, store and hook calls, so they
+        produce byte-identical results.
         """
         context = self._shard_context
         if context is not None and context.partitioned:
@@ -362,11 +371,7 @@ class ClusterSimulator:
                     "post-request hooks, no tracked views, batch_replay=True"
                 )
             return self._replay_stream_sharded(stream, clock, context)
-        if (
-            self.config.batch_replay
-            and not self._post_request_hooks
-            and not self._tracked_views
-        ):
+        if self.config.batch_replay and not self._post_request_hooks:
             return self._replay_stream_batched(stream, clock)
         return self._replay_stream_events(stream, clock)
 
@@ -376,11 +381,13 @@ class ClusterSimulator:
         """The chunk-native loop: segment chunks into dispatchable runs.
 
         A run is the longest span of read/write events that reaches neither
-        the next fault/tick timestamp (one bisect on the timestamp column)
-        nor an edge-mutation event (two C-speed byte scans); whole runs go
-        through the strategy's ``execute_request_batch`` kernel, and edge
-        mutations are applied per event — they re-shape the graph the next
-        run executes against.  While a persistent store is active, the
+        the next fault/tick/sample timestamp (one bisect on the timestamp
+        column) nor an edge-mutation event (two C-speed byte scans); whole
+        runs go through the strategy's ``execute_request_batch`` kernel, and
+        edge mutations are applied per event — they re-shape the graph the
+        next run executes against.  Due faults, ticks and tracked-view
+        samples fire in that order before the event that reaches them, as
+        on the per-event loop.  While a persistent store is active, the
         chunk is instead segmented into homogeneous kind runs: read runs
         stay batched (reads never touch the store), write runs are
         replayed per event so every write is mirrored into the store in
@@ -398,6 +405,8 @@ class ClusterSimulator:
             else math.inf
         )
         next_tick = clock.pending_tick()
+        tracking = bool(self._tracked_views)
+        next_sample = self._next_sample if tracking else math.inf
         store = self.persistent_store
 
         executed = 0
@@ -431,6 +440,9 @@ class ClusterSimulator:
                     self._advance_ticks(clock, timestamp)
                     next_tick = clock.pending_tick()
                     store = self.persistent_store
+                if timestamp >= next_sample:
+                    self._sample_tracked(timestamp)
+                    next_sample = self._next_sample
                 kind = kinds[index]
                 post_hooks = self._post_request_hooks
                 if post_hooks:
@@ -441,6 +453,8 @@ class ClusterSimulator:
                     user = users[index]
                     other = aux[index]
                     if kind == KIND_READ:
+                        if tracking:
+                            self._count_tracked_read(user)
                         execute_read(user, timestamp)
                         reads += 1
                     elif kind == KIND_WRITE:
@@ -461,9 +475,7 @@ class ClusterSimulator:
                     index += 1
                     continue
                 if kind == KIND_READ or kind == KIND_WRITE:
-                    boundary = (
-                        next_fault_time if next_fault_time < next_tick else next_tick
-                    )
+                    boundary = min(next_fault_time, next_tick, next_sample)
                     end = (
                         bisect_left(times, boundary, index + 1, n)
                         if times[n - 1] >= boundary
@@ -471,6 +483,8 @@ class ClusterSimulator:
                     )
                     if store is None:
                         end = request_run_end(kinds, index, end)
+                        if tracking:
+                            self._count_tracked_run(kinds, users, index, end)
                         if end - index == 1:
                             if kind == KIND_READ:
                                 execute_read(users[index], timestamp)
@@ -488,6 +502,8 @@ class ClusterSimulator:
                     else:
                         end = kind_run_end(kinds, index, end)
                         if kind == KIND_READ:
+                            if tracking:
+                                self._count_tracked_run(kinds, users, index, end)
                             if end - index == 1:
                                 execute_read(users[index], timestamp)
                             else:
@@ -750,7 +766,7 @@ class ClusterSimulator:
     def _replay_stream_events(
         self, stream: EventStream, clock: SimulationClock
     ) -> tuple[int, float, float]:
-        """The per-event columnar loop (hooks, tracking, reference path).
+        """The per-event columnar loop (post-request hooks, reference path).
 
         Maintenance ticks, due faults and tracked-view sampling are guarded
         by inlined timestamp comparisons — the guarded calls are exact
@@ -1053,6 +1069,23 @@ class ClusterSimulator:
         for user, followers in self._tracked_followers.items():
             if reader in followers:
                 self._tracked_reads[user] += 1
+
+    def _count_tracked_run(
+        self, kinds: bytes, users, start: int, end: int
+    ) -> None:
+        """Count the tracked-view reads of the request run ``[start, end)``.
+
+        Follower sets change only on edge events, which always end a run,
+        so one scan per tracked view over the run's readers counts exactly
+        what per-read :meth:`_count_tracked_read` calls would.
+        """
+        readers = users[start:end]
+        if kinds.count(KIND_READ, start, end) != end - start:
+            selector = kinds[start:end].translate(_READ_SELECTOR)
+            readers = list(compress(readers, selector))
+        tracked_reads = self._tracked_reads
+        for user, followers in self._tracked_followers.items():
+            tracked_reads[user] += sum(map(followers.__contains__, readers))
 
     def _sample_tracked(self, now: float, force: bool = False) -> None:
         if not self._tracked_views:

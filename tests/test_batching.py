@@ -6,11 +6,13 @@ per-event replay are **byte-identical** — same :class:`SimulationResult`,
 same :class:`TrafficSnapshot` — for every strategy, scenario and
 observation mode.  This suite pins that contract:
 
-* the full strategy × scenario matrix (no per-event observers, so the
-  batched path actually batches);
+* the full strategy × scenario matrix, with and without tracked views
+  (neither forces per-event replay, so the batched path actually batches);
 * property tests over random interleavings of faults, maintenance ticks,
-  tracked-view sampling and post-request hooks (the observers force the
-  documented per-event fallback — which must itself stay byte-identical);
+  tracked-view sampling and post-request hooks (hooks force the documented
+  per-event fallback — which must itself stay byte-identical);
+* deterministic run-boundary cases: reads exactly on sample and tick
+  timestamps, follower churn of a tracked view, hooks registered mid-run;
 * unit coverage of the run segmentation helpers and of the batch kernels'
   fallback paths.
 """
@@ -61,6 +63,16 @@ def test_batched_replay_byte_identical(strategy_key, scenario_key):
     """Batched dispatch must not change a single byte of the result."""
     batched = _run_matrix(strategy_key, scenario_key, batch=True)
     per_event = _run_matrix(strategy_key, scenario_key, batch=False)
+    assert canonical_result_bytes(batched) == canonical_result_bytes(per_event)
+
+
+@pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
+@pytest.mark.parametrize("strategy_key", STRATEGY_KEYS)
+def test_batched_replay_byte_identical_tracked(strategy_key, scenario_key):
+    """Tracked views sampled on the batched path match per-event replay."""
+    batched = _run_matrix(strategy_key, scenario_key, batch=True, tracked=2)
+    per_event = _run_matrix(strategy_key, scenario_key, batch=False, tracked=2)
+    assert batched.tracked_views
     assert canonical_result_bytes(batched) == canonical_result_bytes(per_event)
 
 
@@ -208,8 +220,9 @@ def test_random_interleavings_byte_identical(seed):
     Each seed draws a random strategy, workload (reads/writes/edge churn),
     fault schedule, tick/bucket configuration and observer set; the batched
     and per-event runs must produce byte-identical results, byte-identical
-    traffic snapshots and identical hook transcripts (observers force the
-    per-event fallback, which is part of the contract under test).
+    traffic snapshots and identical hook transcripts (post-request hooks
+    force the per-event fallback, tracked views stay batched; both are part
+    of the contract under test).
     """
     result_a, snapshot_a, hooks_a = _interleaving_run(seed, batch=True)
     result_b, snapshot_b, hooks_b = _interleaving_run(seed, batch=False)
@@ -238,6 +251,142 @@ def test_post_request_hooks_force_per_event_fallback():
     result = simulator.run(stream)
     assert not batch_calls
     assert len(seen) == result.requests_executed
+
+
+def test_tracked_views_stay_batched():
+    """Tracked views are sampled without leaving the batch kernels."""
+    topology, _ = parity_cluster()
+    graph = parity_graph(users=60)
+    stream = parity_stream(graph, days=0.1)
+    strategy = build_strategy("dynasore_hmetis", 7, DynaSoReConfig())
+    simulator = ClusterSimulator(topology, graph, strategy, config=SimulationConfig(seed=7))
+    tracked = list(graph.users)[0]
+    simulator.track_view(tracked)
+    batch_calls = []
+    original = strategy.execute_request_batch
+
+    def spy(kinds, users, timestamps):
+        batch_calls.append(len(users))
+        return original(kinds, users, timestamps)
+
+    strategy.execute_request_batch = spy
+    result = simulator.run(stream)
+    assert batch_calls
+    assert len(result.tracked_views[tracked].replica_counts) > 1
+
+
+def _boundary_stream(graph, target: int) -> EventStream:
+    """Reads on every sample/tick timestamp plus follower churn of ``target``.
+
+    Events fall on a 2.5-minute grid, so with 10-minute samples and
+    25-minute ticks every boundary is hit exactly, some by both at once.
+    One follower of ``target`` unfollows and refollows, one non-follower
+    follows and later unfollows; the events are split over three chunks.
+    """
+    followers = set(graph.followers(target))
+    follower = min(followers)
+    stranger = next(
+        user for user in graph.users if user != target and user not in followers
+    )
+    others = [user for user in graph.users if user != target][:12]
+    readers = [follower, stranger, target] + others
+    edges = {
+        9: (KIND_EDGE_ADD, stranger),
+        14: (KIND_EDGE_REMOVE, follower),
+        31: (KIND_EDGE_ADD, follower),
+        47: (KIND_EDGE_REMOVE, stranger),
+        48: (KIND_EDGE_ADD, stranger),
+        63: (KIND_EDGE_REMOVE, follower),
+    }
+    chunks = [EventChunk() for _ in range(3)]
+    total = 96
+    for step in range(total):
+        chunk = chunks[step * len(chunks) // total]
+        timestamp = step * 2.5 * MINUTE
+        if step in edges:
+            kind, follower_user = edges[step]
+            chunk.append(kind, timestamp, follower_user, target)
+        elif step % 7 == 3:
+            chunk.append(KIND_WRITE, timestamp, readers[step % len(readers)], -1)
+        else:
+            chunk.append(KIND_READ, timestamp, readers[step % len(readers)], -1)
+    return EventStream.from_chunks(chunks)
+
+
+@pytest.mark.parametrize("strategy_key", ["random", "dynasore_hmetis"])
+def test_tracked_sampling_boundaries_byte_identical(strategy_key):
+    """Reads exactly on sample and tick times, follower churn of the tracked
+    view and a post-request hook registered mid-run by a pre-tick hook: the
+    batched run matches per-event replay byte for byte."""
+
+    def run(batch: bool):
+        topology, _ = parity_cluster()
+        graph = parity_graph(users=60)
+        target = list(graph.users)[0]
+        stream = _boundary_stream(graph, target)
+        strategy = build_strategy(strategy_key, 7, DynaSoReConfig())
+        simulator = ClusterSimulator(
+            topology,
+            graph,
+            strategy,
+            config=SimulationConfig(
+                seed=7, tick_period=25 * MINUTE, batch_replay=batch
+            ),
+        )
+        simulator.track_view(target)
+        simulator.track_view(list(graph.users)[1])
+        seen: list[tuple] = []
+        ticks: list[float] = []
+
+        def on_tick(now):
+            ticks.append(now)
+            if len(ticks) == 3:
+                simulator.add_post_request_hook(
+                    lambda request: seen.append(
+                        (type(request).__name__, request.timestamp)
+                    )
+                )
+
+        simulator.add_pre_tick_hook(on_tick)
+        return simulator.run(stream), seen, ticks, target
+
+    batched, seen_batched, ticks_batched, target = run(True)
+    per_event, seen_per_event, ticks_per_event, _ = run(False)
+    assert seen_batched and seen_batched == seen_per_event
+    assert ticks_batched == ticks_per_event
+    timeline = batched.tracked_views[target]
+    assert [now for now, _ in timeline.replica_counts][:4] == [
+        10 * MINUTE, 20 * MINUTE, 30 * MINUTE, 40 * MINUTE
+    ]
+    assert any(reads for _, reads in timeline.reads_per_replica)
+    assert canonical_result_bytes(batched) == canonical_result_bytes(per_event)
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_tracking_period_set_after_construction(batch):
+    """A ``tracking_period`` assigned after construction sets every sample
+    time, the first one included."""
+    topology, _ = parity_cluster()
+    graph = parity_graph(users=40)
+    users = list(graph.users)
+    chunk = EventChunk()
+    times = [step * 7 * MINUTE for step in range(40)]
+    for step, timestamp in enumerate(times):
+        chunk.append(KIND_READ, timestamp, users[step % len(users)], -1)
+    strategy = build_strategy("random", 7, DynaSoReConfig())
+    simulator = ClusterSimulator(
+        topology, graph, strategy, config=SimulationConfig(seed=7, batch_replay=batch)
+    )
+    simulator.tracking_period = HOUR
+    simulator.track_view(users[0])
+    result = simulator.run(EventStream.from_chunks([chunk]))
+    sampled = [now for now, _ in result.tracked_views[users[0]].replica_counts]
+    expected = [
+        min(t for t in times if t >= hour * HOUR)
+        for hour in range(1, 5)
+        if times[-1] >= hour * HOUR
+    ]
+    assert sampled == expected + [times[-1]]
 
 
 def test_batch_replay_disabled_matches_default():
